@@ -1,6 +1,6 @@
 # Convenience wrappers around dune.  `make check` is the PR verify: build,
 # test, and smoke the multi-core evaluation path (--jobs 2).
-.PHONY: all test bench bench-json bench-diff bench-history check fuzz triage chaos obs
+.PHONY: all test bench bench-json bench-diff bench-history perfbench check fuzz triage chaos obs
 
 all:
 	dune build
@@ -28,6 +28,14 @@ bench-diff:
 RANGE ?= BENCH_2.json..BENCH_$(N).json
 bench-history:
 	dune exec bin/bench_diff.exe -- --history $(RANGE)
+
+# End-to-end benchmark (BENCHMARK.json): eval-all, identify and
+# build-corpus in turn, untraced; each run prints its JSON result last.
+SEED ?= 2022
+perfbench:
+	for w in eval-all identify build-corpus; do \
+	  python3 perfbench/run.py --workload $$w --seed $(SEED) --trace 0 || exit 1; \
+	done
 
 check:
 	dune build @check

@@ -32,21 +32,15 @@ let build_plt arch ~cet ~plt_vaddr ~got_vaddr ~nimports =
   let ptr = Arch.ptr_size arch in
   let w = W.create () in
   let entry ~index ~slot =
-    let start = plt_vaddr + (index * plt_entry_size) in
-    let endbr = if cet then Encoder.encode arch Insn.Endbr else "" in
-    W.bytes w endbr;
-    let jmp_vaddr = start + String.length endbr in
-    (* jmp [slot]: absolute on x86, RIP-relative on x86-64. *)
+    if cet then Encoder.encode_to w arch Insn.Endbr;
+    (* jmp [slot] (6 bytes): absolute on x86, RIP-relative on x86-64. *)
     let disp =
       match arch with
       | Arch.X86 -> slot
-      | Arch.X64 -> slot - (jmp_vaddr + 6)
+      | Arch.X64 -> slot - (plt_vaddr + W.length w + 6)
     in
-    W.bytes w (Encoder.encode arch (Insn.Jmp_mem { mem = Insn.mem_abs disp; notrack = false }));
-    (* Re-adjust: the encoder re-encodes the displacement verbatim; for x64
-       we precomputed the rip-relative value above. *)
-    let used = W.length w - (index * plt_entry_size) in
-    W.bytes w (String.make (plt_entry_size - used) '\xCC')
+    Encoder.encode_to w arch (Insn.Jmp_mem { mem = Insn.mem_abs disp; notrack = false });
+    W.bytes w (String.make (((index + 1) * plt_entry_size) - W.length w) '\xCC')
   in
   (* PLT0 jumps through the reserved second GOT slot. *)
   entry ~index:0 ~slot:(got_vaddr + (2 * ptr));
@@ -82,11 +76,12 @@ let link (opts : Options.t) (p : Ir.program) =
   let plt_size = plt_entry_size * (nimports + 1) in
   let text_vaddr = align_up (plt_vaddr + plt_size) 16 in
   let all_items = List.concat_map (fun f -> f.Codegen.items) out.fragments in
-  let text_size, labels = Asm.measure ~arch ~base:text_vaddr all_items in
-  let label_tbl = Hashtbl.create 1024 in
-  List.iter (fun (l, a) -> Hashtbl.replace label_tbl l a) labels;
+  (* One emission pass fixes the layout; label fields are patched once the
+     .rodata/EH/GOT layout below resolves the symbols outside .text. *)
+  let text_asm = Asm.emit ~arch ~base:text_vaddr all_items in
+  let text_size = Asm.size text_asm in
   let addr_of l =
-    match Hashtbl.find_opt label_tbl l with
+    match Asm.label text_asm l with
     | Some a -> a
     | None -> invalid_arg ("Link: undefined label " ^ l)
   in
@@ -201,7 +196,7 @@ let link (opts : Options.t) (p : Ir.program) =
   let got_size = (3 + nimports) * ptr in
   let data_vaddr = align_up (got_vaddr + got_size) 16 in
   let data = String.make 32 '\x00' in
-  (* Final text assembly. *)
+  (* Final text patch. *)
   let resolve l =
     match String.index_opt l '$' with
     | Some 3 when String.length l > 4 && String.sub l 0 4 = "plt$" ->
@@ -211,7 +206,7 @@ let link (opts : Options.t) (p : Ir.program) =
       | Some a -> a
       | None -> invalid_arg ("Link: unresolved symbol " ^ l))
   in
-  let text = Asm.assemble ~arch ~base:text_vaddr ~resolve all_items in
+  let text = Asm.patch text_asm ~resolve in
   assert (String.length text = text_size);
   let plt =
     build_plt arch

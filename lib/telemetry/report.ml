@@ -66,7 +66,13 @@ let render ~timing () =
       (Printf.sprintf "  phase self-time sum: %.3f ms (worker busy time covered by spans)\n"
          (if timing then ms self_sum else 0.0))
   end;
-  let counters = sorted_bindings m.Registry.counters in
+  (* Scheduler counters (steals, backoffs, ...) depend on timing, like the
+     gauges and per-worker rows below, so only a timed report shows them. *)
+  let counters =
+    List.filter
+      (fun (name, _) -> timing || not (String.starts_with ~prefix:"scheduler." name))
+      (sorted_bindings m.Registry.counters)
+  in
   if counters <> [] then begin
     Buffer.add_string buf "COUNTERS\n";
     List.iter

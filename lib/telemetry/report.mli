@@ -7,8 +7,8 @@
 
     [timing:false] follows the harness convention for deterministic
     output: every time-derived figure renders as zero and the
-    timing-dependent sections (per-worker throughput, gauges, GC) are
-    omitted, leaving only call/event counts — which are deterministic in
+    timing-dependent sections (per-worker throughput, gauges, GC, the
+    [scheduler.*] counters) are omitted, leaving only call/event counts — which are deterministic in
     the dataset seed — so the report is byte-identical whatever [~jobs]
     was. *)
 

@@ -4,6 +4,7 @@ module W = struct
   let create ?(size = 1024) () = Buffer.create size
   let length = Buffer.length
   let contents = Buffer.contents
+  let to_bytes = Buffer.to_bytes
   let u8 w v = Buffer.add_char w (Char.chr (v land 0xff))
 
   let u16 w v =

@@ -10,6 +10,10 @@ module W : sig
   val create : ?size:int -> unit -> t
   val length : t -> int
   val contents : t -> string
+
+  val to_bytes : t -> bytes
+  (** A fresh copy of the contents, for callers that patch fields in place. *)
+
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit

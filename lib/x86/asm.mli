@@ -1,9 +1,12 @@
-(** Two-pass assembler: resolves symbolic labels into the rel32/abs32 fields
-    of {!Insn.t} and produces section bytes.
+(** One-pass assembler: encodes symbolic items into section bytes and
+    resolves their labels into the rel32/abs32 fields of {!Insn.t}.
 
-    Item sizes never depend on label values (all emitted branches use rel32
-    forms), so a first pass can measure section layout without any symbol
-    environment; the second pass encodes against a resolver. *)
+    {!emit} walks the items once, encoding each instruction straight into
+    one section buffer.  It records every [Label]'s address and leaves each
+    label-taking field as a placeholder with a fixup; {!patch} then writes
+    the fixups against a resolver.  Item sizes never depend on label values
+    (every label-taking form has a fixed-width field), so the layout {!emit}
+    reports is final before any symbol outside the section is known. *)
 
 type fill = Fill_nop | Fill_int3 | Fill_zero
 
@@ -30,9 +33,29 @@ type item =
           inline-jump-table idiom of hand-written assembly (data in [.text]) *)
   | Align of { boundary : int; fill : fill }
 
+type emitted
+(** A section's bytes with label-taking fields not yet written. *)
+
+val emit : arch:Arch.t -> base:int -> item list -> emitted
+(** [emit ~arch ~base items] lays the items out from address [base].  Raises
+    [Invalid_argument] for an instruction impossible on [arch]. *)
+
+val size : emitted -> int
+(** Section size in bytes. *)
+
+val label : emitted -> string -> int option
+(** Virtual address of a [Label] of the section (the last one of that name). *)
+
+val patch : emitted -> resolve:(string -> int) -> string
+(** The section bytes with every fixup written.  [resolve] must return the
+    virtual address of every symbol referenced but not defined by a local
+    [Label]; local labels shadow it.  Raises [Invalid_argument] if a rel32
+    overflows (images here never do). *)
+
 val measure : arch:Arch.t -> base:int -> item list -> int * (string * int) list
 (** [measure ~arch ~base items] returns the section size in bytes and the
-    virtual address of every [Label], without resolving references. *)
+    virtual address of every [Label] in item order (a label defined twice
+    reports its last address), without resolving references. *)
 
 val assemble :
   arch:Arch.t ->
@@ -40,6 +63,4 @@ val assemble :
   resolve:(string -> int) ->
   item list ->
   string
-(** Second pass.  [resolve] must return the virtual address of every symbol
-    referenced but not defined by a local [Label]; local labels shadow it.
-    Raises [Invalid_argument] if a rel32 overflows (images here never do). *)
+(** [emit] then [patch]. *)

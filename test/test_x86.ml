@@ -536,6 +536,211 @@ let test_asm_jmp_table_item () =
   let bytes = Asm.assemble ~arch:Arch.X86 ~base:0 ~resolve:(fun _ -> 0x804000) items in
   check Alcotest.string "notrack jmp table" "3e ff 24 85 00 40 80 00" (hex bytes)
 
+(* ------------------------------------------------------------------ *)
+(* Assembler property: one-pass emission vs a per-item reference      *)
+(* ------------------------------------------------------------------ *)
+
+let asm_locals = [ "a"; "b"; "c"; "d" ]
+let asm_externs = [ ("ext_lo", 0x200); ("ext_hi", 0x4000_0000) ]
+let asm_resolve l = List.assoc l asm_externs
+
+(* Reference assembler, independent of [Asm]: every item is encoded on its
+   own with [Encoder.encode]; rel32 fields are [target - (addr + size)]
+   with [size] taken from a zero-displacement encoding of the same form. *)
+let ref_item arch ~addr ~find item =
+  let rel l mk =
+    let size = String.length (Enc.encode arch (mk 0)) in
+    Enc.encode arch (mk (find l - (addr + size)))
+  in
+  let abs_index index scale disp = { Insn.base = None; index = Some (index, scale); disp } in
+  let rec nops n =
+    if n = 0 then ""
+    else if n = 1 then Enc.encode Arch.X64 Insn.Nop
+    else
+      let c = if n = 10 then 8 else min n 9 in
+      Enc.encode Arch.X64 (Insn.Nopl c) ^ nops (n - c)
+  in
+  match item with
+  | Asm.Label _ -> ""
+  | Asm.Ins i -> Enc.encode arch i
+  | Asm.Call_lbl l -> rel l (fun d -> Insn.Call_rel d)
+  | Asm.Jmp_lbl l -> rel l (fun d -> Insn.Jmp_rel d)
+  | Asm.Jcc_lbl (c, l) -> rel l (fun d -> Insn.Jcc_rel (c, d))
+  | Asm.Lea_lbl (r, l) -> (
+    match arch with
+    | Arch.X64 -> rel l (fun d -> Insn.Lea (r, Insn.mem_abs d))
+    | Arch.X86 -> Enc.encode arch (Insn.Mov_ri (r, find l)))
+  | Asm.Push_lbl l -> Enc.encode arch (Insn.Push_imm (find l))
+  | Asm.Mov_mi_lbl (m, l) -> Enc.encode arch (Insn.Mov_mi (m, find l))
+  | Asm.Jmp_table_lbl { table; index; scale; notrack } ->
+    Enc.encode arch (Insn.Jmp_mem { mem = abs_index index scale (find table); notrack })
+  | Asm.Mov_rm_table { dst; table; index; scale } ->
+    Enc.encode arch (Insn.Mov_rm (dst, abs_index index scale (find table)))
+  | Asm.Bytes_raw s -> s
+  | Asm.Table { entries; entry_size } ->
+    String.concat ""
+      (List.map
+         (fun l -> String.init entry_size (fun i -> Char.chr ((find l lsr (8 * i)) land 0xff)))
+         entries)
+  | Asm.Align { boundary; fill } -> (
+    let n = (boundary - (addr mod boundary)) mod boundary in
+    match fill with
+    | Asm.Fill_nop -> nops n
+    | Asm.Fill_int3 -> String.make n '\xcc'
+    | Asm.Fill_zero -> String.make n '\x00')
+
+(* Pass 1 sizes each item with every label at a dummy address (sizes never
+   depend on it); pass 2 encodes against the pass-1 addresses. *)
+let ref_assemble arch ~base ~resolve items =
+  let addr = ref base and labels = ref [] in
+  List.iter
+    (fun item ->
+      (match item with Asm.Label l -> labels := (l, !addr) :: !labels | _ -> ());
+      addr := !addr + String.length (ref_item arch ~addr:!addr ~find:(fun _ -> 0x1000) item))
+    items;
+  let labels = List.rev !labels in
+  let find l = match List.assoc_opt l labels with Some a -> a | None -> resolve l in
+  let buf = Buffer.create 256 in
+  List.iter
+    (fun item -> Buffer.add_string buf (ref_item arch ~addr:(base + Buffer.length buf) ~find item))
+    items;
+  (Buffer.contents buf, labels)
+
+let gen_asm_item ~arch =
+  let open QCheck.Gen in
+  let lbl = oneofl (asm_locals @ List.map fst asm_externs) in
+  let reg = gen_reg ~arch in
+  let index = map (fun r -> if r = Reg.RSP then Reg.RBX else r) reg in
+  let scale = oneofl [ 1; 2; 4; 8 ] in
+  let cond = oneofl [ Insn.E; Insn.NE; Insn.L; Insn.GE; Insn.A; Insn.BE ] in
+  oneof
+    [
+      map (fun l -> Asm.Label l) (oneofl asm_locals);
+      map (fun i -> Asm.Ins i) (gen_insn ~arch);
+      map (fun l -> Asm.Call_lbl l) lbl;
+      map (fun l -> Asm.Jmp_lbl l) lbl;
+      map2 (fun c l -> Asm.Jcc_lbl (c, l)) cond lbl;
+      map2 (fun r l -> Asm.Lea_lbl (r, l)) reg lbl;
+      map (fun l -> Asm.Push_lbl l) lbl;
+      map2 (fun m l -> Asm.Mov_mi_lbl (m, l)) (gen_mem ~arch) lbl;
+      map2
+        (fun (table, index) (scale, notrack) ->
+          Asm.Jmp_table_lbl { table; index; scale; notrack })
+        (pair lbl index) (pair scale bool);
+      map2
+        (fun (dst, table) (index, scale) -> Asm.Mov_rm_table { dst; table; index; scale })
+        (pair reg lbl) (pair index scale);
+      map (fun s -> Asm.Bytes_raw s) (string_size ~gen:char (int_bound 5));
+      map2
+        (fun entries entry_size -> Asm.Table { entries; entry_size })
+        (list_size (int_range 1 3) lbl)
+        (oneofl [ 4; 8 ]);
+      map2
+        (fun boundary fill -> Asm.Align { boundary; fill })
+        (oneofl [ 4; 8; 16 ])
+        (oneofl [ Asm.Fill_nop; Asm.Fill_int3; Asm.Fill_zero ]);
+    ]
+
+(* Each local label is defined exactly once: repeated definitions are
+   dropped and missing ones appended, so references go both ways. *)
+let gen_asm_items ~arch =
+  QCheck.Gen.map
+    (fun items ->
+      let seen = Hashtbl.create 4 in
+      let items =
+        List.filter
+          (function
+            | Asm.Label l when Hashtbl.mem seen l -> false
+            | Asm.Label l ->
+              Hashtbl.add seen l ();
+              true
+            | _ -> true)
+          items
+      in
+      items
+      @ List.filter_map
+          (fun l -> if Hashtbl.mem seen l then None else Some (Asm.Label l))
+          asm_locals)
+    (QCheck.Gen.list_size (QCheck.Gen.int_range 0 40) (gen_asm_item ~arch))
+
+let print_asm_item ~arch = function
+  | Asm.Label l -> l ^ ":"
+  | Asm.Ins i -> Format.asprintf "  %a" (Insn.pp ~arch) i
+  | Asm.Call_lbl l -> "  call " ^ l
+  | Asm.Jmp_lbl l -> "  jmp " ^ l
+  | Asm.Jcc_lbl (_, l) -> "  jcc " ^ l
+  | Asm.Lea_lbl (_, l) -> "  lea " ^ l
+  | Asm.Push_lbl l -> "  push " ^ l
+  | Asm.Mov_mi_lbl (_, l) -> "  mov [m], " ^ l
+  | Asm.Jmp_table_lbl { table; _ } -> "  jmp [" ^ table ^ "+i*s]"
+  | Asm.Mov_rm_table { table; _ } -> "  mov r, [" ^ table ^ "+i*s]"
+  | Asm.Bytes_raw s -> "  .bytes " ^ hex s
+  | Asm.Table { entries; entry_size } ->
+    Printf.sprintf "  .table%d %s" entry_size (String.concat "," entries)
+  | Asm.Align { boundary; _ } -> Printf.sprintf "  .align %d" boundary
+
+let arb_asm ~arch =
+  QCheck.make
+    ~print:(fun (base, items) ->
+      Printf.sprintf "base 0x%x\n%s" base
+        (String.concat "\n" (List.map (print_asm_item ~arch) items)))
+    QCheck.Gen.(pair (oneofl [ 0x1000; 0x401003; 0x804900d ]) (gen_asm_items ~arch))
+
+let asm_reference_prop arch =
+  QCheck.Test.make ~count:500
+    ~name:(Printf.sprintf "assemble = per-item reference (%s)" (Arch.to_string arch))
+    (arb_asm ~arch)
+    (fun (base, items) ->
+      let bytes = Asm.assemble ~arch ~base ~resolve:asm_resolve items in
+      let expected, ref_labels = ref_assemble arch ~base ~resolve:asm_resolve items in
+      if bytes <> expected then
+        QCheck.Test.fail_reportf "bytes differ:\n  got      %s\n  expected %s" (hex bytes)
+          (hex expected);
+      let size, labels = Asm.measure ~arch ~base items in
+      size = String.length bytes
+      && labels = ref_labels
+      && List.for_all (fun (_, a) -> a >= base && a <= base + size) labels)
+
+(* The three ways assembly can fail still raise, wherever the bad items sit
+   in an otherwise valid list; with two bad items, the first one raises. *)
+let asm_errors_prop arch =
+  let bad =
+    QCheck.Gen.oneofl
+      [
+        (`Overflow, Asm.Call_lbl "far");
+        (`Overflow, Asm.Jcc_lbl (Insn.NE, "far"));
+        (`Push_low, Asm.Push_lbl "low");
+        (`Undefined, Asm.Jmp_lbl "nowhere");
+        (`Undefined, Asm.Table { entries = [ "nowhere" ]; entry_size = 4 });
+      ]
+  in
+  let resolve = function
+    | "far" -> 0x1_0000_0000
+    | "low" -> 100
+    | l -> ( match List.assoc_opt l asm_externs with Some a -> a | None -> raise Not_found)
+  in
+  let insert pos x l =
+    List.filteri (fun i _ -> i < pos) l @ (x :: List.filteri (fun i _ -> i >= pos) l)
+  in
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "assemble error paths raise (%s)" (Arch.to_string arch))
+    (QCheck.make
+       QCheck.Gen.(quad (gen_asm_items ~arch) (pair bad bad) (int_bound 40) (int_bound 40)))
+    (fun (items, ((what, first), (_, second)), p1, p2) ->
+      let p1 = min p1 (List.length items) in
+      let items = insert p1 first items in
+      let items =
+        if p2 mod 2 = 0 then items
+        else insert (max p1 (min p2 (List.length items)) + 1) second items
+      in
+      match Asm.assemble ~arch ~base:0x1000 ~resolve items with
+      | _ -> false
+      | exception e -> (
+        match (what, e) with
+        | `Overflow, Invalid_argument m -> m = "Asm: rel32 overflow"
+        | `Push_low, Assert_failure _ | `Undefined, Not_found -> true
+        | _ -> QCheck.Test.fail_reportf "wrong exception %s" (Printexc.to_string e)))
+
 let suite =
   [
     ( "x86.register",
@@ -588,5 +793,9 @@ let suite =
         Alcotest.test_case "lea label by arch" `Quick test_asm_lea_lbl_by_arch;
         Alcotest.test_case "nop fill decodes" `Quick test_asm_nop_fill_decodes;
         Alcotest.test_case "jump table item" `Quick test_asm_jmp_table_item;
+        qcheck (asm_reference_prop Arch.X64);
+        qcheck (asm_reference_prop Arch.X86);
+        qcheck (asm_errors_prop Arch.X64);
+        qcheck (asm_errors_prop Arch.X86);
       ] );
   ]
