@@ -35,49 +35,83 @@ let fde_extents reader =
 
 type explored = { e_functions : int list; e_visited : Bytes.t }
 
-(* Recursive descent over the sweep's instruction stream.  Instruction
-   lookup is a binary search into the sorted [insns] array and the visited
-   set is one byte per instruction — the traversal allocates nothing per
-   step, where it used to build an address→instruction hashtable as large
-   as the stream on every call. *)
+(* Int FIFO over a ring buffer whose capacity doubles when full — the
+   traversal worklist.  Pushes and pops allocate nothing; the buffer keeps
+   its power-of-two size, so the wrap is a mask. *)
+type fifo = { mutable ring : int array; mutable head : int; mutable count : int }
+
+let fifo_create () = { ring = Array.make 64 0; head = 0; count = 0 }
+
+let fifo_push q v =
+  let cap = Array.length q.ring in
+  if q.count = cap then begin
+    let bigger = Array.make (2 * cap) 0 in
+    Array.blit q.ring q.head bigger 0 (cap - q.head);
+    Array.blit q.ring 0 bigger (cap - q.head) q.head;
+    q.ring <- bigger;
+    q.head <- 0
+  end;
+  q.ring.((q.head + q.count) land (Array.length q.ring - 1)) <- v;
+  q.count <- q.count + 1
+
+let fifo_pop q =
+  let v = q.ring.(q.head) in
+  q.head <- (q.head + 1) land (Array.length q.ring - 1);
+  q.count <- q.count - 1;
+  v
+
+(* Recursive descent over the sweep's instruction stream, FIFO order.  The
+   worklist holds instruction indices, resolved when an entry is pushed:
+   fall-through is the next record whenever it is adjacent (always, in a
+   contiguous stream), so only branch and call targets — and fall-through
+   across a resync gap — pay a binary search.  An address that starts no
+   instruction, or an instruction already walked, would be a no-op when
+   popped, so it is never queued; the walk order is unchanged.  The
+   visited set is one byte per instruction. *)
 let explore (sweep : Linear.t) ~roots =
   let insns = sweep.insns in
-  let visited = Bytes.make (Array.length insns) '\000' in
+  let n = Array.length insns in
+  let visited = Bytes.make n '\000' in
   let functions = Hashtbl.create 256 in
-  let wl = Queue.create () in
+  let wl = fifo_create () in
+  let push_index k = if Bytes.get visited k = '\000' then fifo_push wl k in
+  let push_addr a =
+    let k = Linear.first_index_at sweep a in
+    if k < n && insns.(k).Decoder.addr = a then push_index k
+  in
+  let fall k (ins : Decoder.ins) =
+    let next = ins.addr + ins.len in
+    if k + 1 < n && insns.(k + 1).Decoder.addr = next then push_index (k + 1)
+    else push_addr next
+  in
   List.iter
     (fun r ->
       if Linear.in_range sweep r then begin
         Hashtbl.replace functions r ();
-        Queue.add r wl
+        push_addr r
       end)
     roots;
-  while not (Queue.is_empty wl) do
-    let a = Queue.pop wl in
-    match Linear.index_of sweep a with
-    | None -> ()
-    | Some k ->
-      if Bytes.get visited k = '\000' then begin
-        Bytes.set visited k '\001';
-        let ins = insns.(k) in
-        let fall () = Queue.add (a + ins.Decoder.len) wl in
-        match ins.kind with
-        | Decoder.Ret | Decoder.Halt -> ()
-        | Decoder.Jmp_direct t -> if Linear.in_range sweep t then Queue.add t wl
-        | Decoder.Jcc_direct t ->
-          if Linear.in_range sweep t then Queue.add t wl;
-          fall ()
-        | Decoder.Call_direct t ->
-          if Linear.in_range sweep t && not (Hashtbl.mem functions t) then begin
-            Hashtbl.replace functions t ();
-            Queue.add t wl
-          end;
-          fall ()
-        | Decoder.Jmp_indirect _ -> ()
-        | Decoder.Call_indirect _ | Decoder.Endbr64 | Decoder.Endbr32 | Decoder.Addr_ref _
-        | Decoder.Other ->
-          fall ()
-      end
+  while wl.count > 0 do
+    let k = fifo_pop wl in
+    if Bytes.get visited k = '\000' then begin
+      Bytes.set visited k '\001';
+      let ins = insns.(k) in
+      match ins.kind with
+      | Decoder.Ret | Decoder.Halt | Decoder.Jmp_indirect _ -> ()
+      | Decoder.Jmp_direct t -> if Linear.in_range sweep t then push_addr t
+      | Decoder.Jcc_direct t ->
+        if Linear.in_range sweep t then push_addr t;
+        fall k ins
+      | Decoder.Call_direct t ->
+        if Linear.in_range sweep t && not (Hashtbl.mem functions t) then begin
+          Hashtbl.replace functions t ();
+          push_addr t
+        end;
+        fall k ins
+      | Decoder.Call_indirect _ | Decoder.Endbr64 | Decoder.Endbr32 | Decoder.Addr_ref _
+      | Decoder.Other ->
+        fall k ins
+    end
   done;
   {
     e_functions =
@@ -134,8 +168,7 @@ let endbr_before (sweep : Linear.t) off =
   && (byte sweep (off - 1) = 0xFA || byte sweep (off - 1) = 0xFB)
 
 let prologue_scan (sweep : Linear.t) ~known ~aggressive ?visited ?(suppress = []) () =
-  let known_set = Hashtbl.create (max 16 (List.length known)) in
-  List.iter (fun a -> Hashtbl.replace known_set a ()) known;
+  let known = Linear.sort_dedup_ints (Array.of_list known) in
   (* Lenient: extents recovered from a corrupt .eh_frame can overlap, and
      a suppression table that is merely smaller must not abort the scan. *)
   let suppress =
@@ -146,11 +179,13 @@ let prologue_scan (sweep : Linear.t) ~known ~aggressive ?visited ?(suppress = []
     (fun idx (i : Decoder.ins) ->
       let a = i.Decoder.addr in
       let off = a - sweep.base in
+      (* The byte signature almost never matches, so it goes first; the
+         other tests are pure too, so the order cannot change a hit. *)
       if
-        (not (Hashtbl.mem known_set a))
+        prologue_at sweep off ~aggressive
+        && (not (Linear.mem_sorted known a))
         && (not (Cet_util.Itable.mem suppress a))
         && (match visited with Some v -> Bytes.get v idx = '\000' | None -> true)
-        && prologue_at sweep off ~aggressive
       then begin
         let after_endbr = endbr_before sweep off in
         let after_boundary = off = 0 || boundary_byte (byte sweep (off - 1)) in

@@ -24,19 +24,11 @@ type func = {
 let insns_in (sweep : Linear.t) lo hi =
   let arr = sweep.insns in
   let n = Array.length arr in
-  let first =
-    let l = ref 0 and h = ref n in
-    while !l < !h do
-      let mid = (!l + !h) / 2 in
-      if arr.(mid).Decoder.addr < lo then l := mid + 1 else h := mid
-    done;
-    !l
-  in
   let rec collect i acc =
     if i >= n || arr.(i).Decoder.addr >= hi then List.rev acc
     else collect (i + 1) (arr.(i) :: acc)
   in
-  collect first []
+  collect (Linear.first_index_at sweep lo) []
 
 let recover_function sweep ~entry ~stop =
   let insns = insns_in sweep entry stop in

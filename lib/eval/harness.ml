@@ -121,6 +121,9 @@ let empty_results () =
     profiles = [];
   }
 
+(* While [run] accumulates, [failures] and [profiles] are held newest
+   first, so a merge costs the size of [src] rather than of everything
+   merged so far; [run] restores plan order once, at the end. *)
 let merge_results into src =
   Tables.Table1.merge into.table1 src.table1;
   Tables.Fig3.merge into.fig3 src.fig3;
@@ -131,8 +134,8 @@ let merge_results into src =
     into with
     binaries = into.binaries + src.binaries;
     functions = into.functions + src.functions;
-    failures = into.failures @ src.failures;
-    profiles = into.profiles @ src.profiles;
+    failures = src.failures @ into.failures;
+    profiles = src.profiles @ into.profiles;
   }
 
 (* EWMA over the instantaneous throughput between progress milestones: the
@@ -356,7 +359,7 @@ let run ?profiles ?configs ?jobs (opts : options) =
                    ]);
           }
         in
-        { acc with profiles = acc.profiles @ [ p ] }
+        { acc with profiles = p :: acc.profiles }
       end
     in
     { acc with binaries = acc.binaries + 1; functions = acc.functions + List.length truth }
@@ -467,14 +470,13 @@ let run ?profiles ?configs ?jobs (opts : options) =
           else
             {
               acc with
-              profiles = acc.profiles @ [ quarantined_profile bin ~attempts ~status ];
+              profiles = quarantined_profile bin ~attempts ~status :: acc.profiles;
             }
         in
         {
           acc with
           failures =
-            acc.failures
-            @ [ failure_of bin ~attempts u.Work_queue.w_error u.Work_queue.w_bt ];
+            failure_of bin ~attempts u.Work_queue.w_error u.Work_queue.w_bt :: acc.failures;
         }
     in
     let seen = Atomic.fetch_and_add progress 1 + 1 in
@@ -483,8 +485,11 @@ let run ?profiles ?configs ?jobs (opts : options) =
   in
   let eval_item k = List.fold_left eval_binary (empty_results ()) (Dataset.nth plan k) in
   let results =
-    Array.fold_left merge_results (empty_results ())
-      (Work_queue.map wq (Dataset.length plan) eval_item)
+    let r =
+      Array.fold_left merge_results (empty_results ())
+        (Work_queue.map wq (Dataset.length plan) eval_item)
+    in
+    { r with failures = List.rev r.failures; profiles = List.rev r.profiles }
   in
   if Cet_telemetry.Registry.enabled () then begin
     let s = Work_queue.stats wq in
