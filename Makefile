@@ -1,6 +1,6 @@
 # Convenience wrappers around dune.  `make check` is the PR verify: build,
 # test, and smoke the multi-core evaluation path (--jobs 2).
-.PHONY: all test bench bench-json bench-diff bench-history perfbench check fuzz triage chaos obs
+.PHONY: all test bench bench-json bench-diff bench-history perfbench perfbench-pairs check fuzz triage chaos obs
 
 all:
 	dune build
@@ -36,6 +36,18 @@ perfbench:
 	for w in eval-all identify build-corpus; do \
 	  python3 perfbench/run.py --workload $$w --seed $(SEED) --trace 0 || exit 1; \
 	done
+
+# Paired same-session comparison with another revision (not part of the
+# tests): N alternating perfbench runs of workload W, in a temporary git
+# worktree of BASE and in this tree; prints each end-to-end metric's median,
+# quartiles and the change's win count.  N is passed only when given on the
+# command line or in the environment (the `N ?= 8` above is bench-json's PR
+# number); otherwise perfpairs.py runs its default of 10 pairs.
+BASE ?= HEAD
+W ?= build-corpus
+perfbench-pairs:
+	python3 tools/perfpairs.py --base $(BASE) --workload $(W) --seed $(SEED) \
+	  $(if $(filter command line environment,$(origin N)),--pairs $(N))
 
 check:
 	dune build @check

@@ -3,10 +3,12 @@ module Insn = Cet_x86.Insn
 module Asm = Cet_x86.Asm
 module Reg = Cet_x86.Register
 
-type lsda_site = { try_start : string; try_end : string; landing : string option }
+type lsda_site = { try_start : Asm.label; try_end : Asm.label; landing : Asm.label option }
 
 type fragment = {
   frag_name : string;
+  frag_label : Asm.label;
+  end_label : Asm.label;
   parent : string option;
   is_function : bool;
   has_symbol : bool;
@@ -14,13 +16,40 @@ type fragment = {
   items : Asm.item list;
   lsda_sites : lsda_site list;
   handler_count : int;
-  tables : (string * string list) list;
+  tables : (Asm.label * Asm.label list) list;
 }
 
-type output = { fragments : fragment list; imports : string list }
+type output = {
+  fragments : fragment list;
+  imports : (string * Asm.label) list;
+  label_count : int;
+}
 
-let plt_label name = "plt$" ^ name
-let frag_end_label name = name ^ "$end"
+(* The label namespace of one [lower] call: local labels are a counter;
+   named symbols and PLT entries are interned once each, in separate
+   tables since an import may share a defined function's name. *)
+type names = {
+  mutable next : int;
+  syms : (string, Asm.label) Hashtbl.t;
+  plts : (string, Asm.label) Hashtbl.t;
+}
+
+let new_label ns =
+  let l = ns.next in
+  ns.next <- l + 1;
+  l
+
+let intern ns tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some l -> l
+  | None ->
+    let l = new_label ns in
+    Hashtbl.add tbl name l;
+    l
+
+let sym ns name = intern ns ns.syms name
+let plt ns name = intern ns ns.plts name
+
 let thunk_bx = "__x86.get_pc_thunk.bx"
 let thunk_ax = "__x86.get_pc_thunk.ax"
 
@@ -29,14 +58,13 @@ let thunk_ax = "__x86.get_pc_thunk.ax"
    would, keyed off the function name. *)
 type fctx = {
   opts : Options.t;
-  fname : string;
-  mutable counter : int;
+  ns : names;
   mutable rolling : int;
   mutable rev_items : Asm.item list;  (* body, reversed *)
   mutable rev_tail : Asm.item list;  (* landing pads after the epilogue *)
   mutable sites : lsda_site list;
   mutable handlers : int;
-  mutable tables : (string * string list) list;
+  mutable tables : (Asm.label * Asm.label list) list;
   epilogue : Asm.item list;  (* for tail-call sites *)
 }
 
@@ -44,10 +72,7 @@ let roll ctx bound =
   ctx.rolling <- (ctx.rolling * 1103515245) + 12345 land 0x3FFFFFFF;
   (ctx.rolling lsr 7) mod bound
 
-let fresh ctx tag =
-  let n = ctx.counter in
-  ctx.counter <- n + 1;
-  Printf.sprintf "%s$%s%d" ctx.fname tag n
+let fresh ctx = new_label ctx.ns
 
 let emit ctx item = ctx.rev_items <- item :: ctx.rev_items
 let emit_ins ctx i = emit ctx (Asm.Ins i)
@@ -111,12 +136,13 @@ let emit_call ctx target =
 let rec lower_stmt ctx stmt =
   match stmt with
   | Ir.Compute n -> filler ctx n
-  | Ir.Call (Ir.Local f) -> emit_call ctx f
-  | Ir.Call (Ir.Import i) -> emit_call ctx (plt_label i)
+  | Ir.Call (Ir.Local f) -> emit_call ctx (sym ctx.ns f)
+  | Ir.Call (Ir.Import i) -> emit_call ctx (plt ctx.ns i)
   | Ir.Call_via_pointer f ->
-    addr_of ctx Reg.RAX f;
+    addr_of ctx Reg.RAX (sym ctx.ns f);
     emit_ins ctx (Insn.Call_reg Reg.RAX)
   | Ir.Store_fn_pointer f ->
+    let f = sym ctx.ns f in
     if x86 ctx then emit ctx (Asm.Mov_mi_lbl (Insn.mem_base Reg.RSP 4, f))
     else begin
       addr_of ctx Reg.RAX f;
@@ -127,11 +153,11 @@ let rec lower_stmt ctx stmt =
        indirect return of longjmp has a valid target. *)
     if x86 ctx then emit_ins ctx (Insn.Push_imm (0x404000 + roll ctx 256))
     else emit_ins ctx (Insn.Mov_ri (Reg.RDI, 0x404000 + roll ctx 256));
-    emit ctx (Asm.Call_lbl (plt_label s));
+    emit ctx (Asm.Call_lbl (plt ctx.ns s));
     if ctx.opts.Options.cf_protection <> Options.Cf_none then emit_ins ctx Insn.Endbr;
     call_cleanup ctx (x86 ctx);
     emit_ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
-    let l = fresh ctx "sj" in
+    let l = fresh ctx in
     emit ctx (Asm.Jcc_lbl (Insn.NE, l));
     filler ctx 1;
     emit ctx (Asm.Label l)
@@ -145,13 +171,13 @@ let rec lower_stmt ctx stmt =
     end;
     emit_ins ctx (Insn.Cmp_ri (Reg.RAX, roll ctx 64));
     if b = [] then begin
-      let join = fresh ctx "j" in
+      let join = fresh ctx in
       emit ctx (Asm.Jcc_lbl (Insn.E, join));
       lower_stmts ctx a;
       emit ctx (Asm.Label join)
     end
     else begin
-      let lelse = fresh ctx "e" and join = fresh ctx "j" in
+      let lelse = fresh ctx and join = fresh ctx in
       emit ctx (Asm.Jcc_lbl (Insn.E, lelse));
       lower_stmts ctx a;
       emit ctx (Asm.Jmp_lbl join);
@@ -163,7 +189,7 @@ let rec lower_stmt ctx stmt =
     if ctx.opts.Options.opt = Options.O0 then begin
       (* Unrotated loop: forward jump to the condition, backward
          conditional edge. *)
-      let lcond = fresh ctx "lc" and lbody = fresh ctx "lb" in
+      let lcond = fresh ctx and lbody = fresh ctx in
       emit ctx (Asm.Jmp_lbl lcond);
       emit ctx (Asm.Label lbody);
       lower_stmts ctx body;
@@ -173,7 +199,7 @@ let rec lower_stmt ctx stmt =
     end
     else begin
       (* Rotated loop: no unconditional jump. *)
-      let lbody = fresh ctx "lb" in
+      let lbody = fresh ctx in
       emit_ins ctx (Insn.Mov_ri (Reg.RCX, 1 + roll ctx 100));
       emit ctx (Asm.Label lbody);
       lower_stmts ctx body;
@@ -183,9 +209,9 @@ let rec lower_stmt ctx stmt =
   | Ir.Switch cases ->
     let n = List.length cases in
     assert (n > 0);
-    let jt = fresh ctx "jt" in
-    let lend = fresh ctx "sw" and ldef = fresh ctx "sd" in
-    let case_labels = List.mapi (fun i _ -> Printf.sprintf "%s$c%d" jt i) cases in
+    let jt = fresh ctx in
+    let lend = fresh ctx and ldef = fresh ctx in
+    let case_labels = List.map (fun _ -> fresh ctx) cases in
     emit_ins ctx (Insn.Cmp_ri (Reg.RAX, n - 1));
     emit ctx (Asm.Jcc_lbl (Insn.A, ldef));
     (if x86 ctx then
@@ -210,18 +236,18 @@ let rec lower_stmt ctx stmt =
            })
     end
     else ctx.tables <- (jt, case_labels) :: ctx.tables;
-    List.iteri
-      (fun i case ->
-        emit ctx (Asm.Label (List.nth case_labels i));
+    List.iter2
+      (fun l case ->
+        emit ctx (Asm.Label l);
         lower_stmts ctx case;
         emit ctx (Asm.Jmp_lbl lend))
-      cases;
+      case_labels cases;
     emit ctx (Asm.Label ldef);
     filler ctx 1;
     emit ctx (Asm.Label lend)
   | Ir.Try_catch (body, handlers) ->
-    let try_start = fresh ctx "ts" and try_end = fresh ctx "te" in
-    let cont = fresh ctx "tc" and lp = fresh ctx "lp" in
+    let try_start = fresh ctx and try_end = fresh ctx in
+    let cont = fresh ctx and lp = fresh ctx in
     emit ctx (Asm.Label try_start);
     lower_stmts ctx body;
     emit ctx (Asm.Label try_end);
@@ -233,11 +259,11 @@ let rec lower_stmt ctx stmt =
     if ctx.opts.Options.cf_protection <> Options.Cf_none then
       emit_tail ctx (Asm.Ins Insn.Endbr);
     emit_tail ctx (Asm.Ins (Insn.Mov_rr (Reg.RBX, Reg.RAX)));
-    emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_begin_catch"));
+    emit_tail ctx (Asm.Call_lbl (plt ctx.ns "__cxa_begin_catch"));
     (match handlers with
     | [] -> ()
     | first :: rest ->
-      let rest_labels = List.map (fun _ -> fresh ctx "h") rest in
+      let rest_labels = List.map (fun _ -> fresh ctx) rest in
       (* Dispatch on the exception filter for secondary catch clauses. *)
       List.iteri
         (fun i l ->
@@ -250,7 +276,7 @@ let rec lower_stmt ctx stmt =
       let first_items = List.rev ctx.rev_items in
       ctx.rev_items <- saved;
       List.iter (emit_tail ctx) first_items;
-      emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_end_catch"));
+      emit_tail ctx (Asm.Call_lbl (plt ctx.ns "__cxa_end_catch"));
       emit_tail ctx (Asm.Jmp_lbl cont);
       List.iter2
         (fun l h ->
@@ -261,7 +287,7 @@ let rec lower_stmt ctx stmt =
           let items = List.rev ctx.rev_items in
           ctx.rev_items <- saved;
           List.iter (emit_tail ctx) items;
-          emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_end_catch"));
+          emit_tail ctx (Asm.Call_lbl (plt ctx.ns "__cxa_end_catch"));
           emit_tail ctx (Asm.Jmp_lbl cont))
         rest_labels rest);
     ctx.sites <- { try_start; try_end; landing = Some lp } :: ctx.sites;
@@ -273,7 +299,7 @@ let rec lower_stmt ctx stmt =
     if ctx.opts.Options.compiler = Options.Clang
        && ctx.opts.Options.opt <> Options.O0 && roll ctx 2 = 0
     then begin
-      let ts2 = fresh ctx "ts" and te2 = fresh ctx "te" and lp2 = fresh ctx "lp" in
+      let ts2 = fresh ctx and te2 = fresh ctx and lp2 = fresh ctx in
       emit ctx (Asm.Label ts2);
       filler ctx 2;
       emit ctx (Asm.Label te2);
@@ -281,30 +307,30 @@ let rec lower_stmt ctx stmt =
       if ctx.opts.Options.cf_protection <> Options.Cf_none then
         emit_tail ctx (Asm.Ins Insn.Endbr);
       emit_tail ctx (Asm.Ins (Insn.Mov_rr (Reg.RBX, Reg.RAX)));
-      emit_tail ctx (Asm.Call_lbl (plt_label "__cxa_end_catch"));
+      emit_tail ctx (Asm.Call_lbl (plt ctx.ns "__cxa_end_catch"));
       emit_tail ctx (Asm.Jmp_lbl cont);
       ctx.sites <- { try_start = ts2; try_end = te2; landing = Some lp2 } :: ctx.sites
     end
   | Ir.Tail_call_site f ->
     if Options.tail_calls_enabled ctx.opts then begin
-      let skip = fresh ctx "nt" in
+      let skip = fresh ctx in
       emit_ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
       emit ctx (Asm.Jcc_lbl (Insn.E, skip));
       List.iter (emit ctx) ctx.epilogue;
-      emit ctx (Asm.Jmp_lbl f);
+      emit ctx (Asm.Jmp_lbl (sym ctx.ns f));
       emit ctx (Asm.Label skip)
     end
-    else emit_call ctx f
+    else emit_call ctx (sym ctx.ns f)
   | Ir.Jump_to_part f ->
     if Options.cold_splitting_enabled ctx.opts then begin
-      let skip = fresh ctx "np" in
+      let skip = fresh ctx in
       emit_ins ctx (Insn.Test_rr (Reg.RAX, Reg.RAX));
       emit ctx (Asm.Jcc_lbl (Insn.E, skip));
       List.iter (emit ctx) ctx.epilogue;
-      emit ctx (Asm.Jmp_lbl (f ^ ".part.0"));
+      emit ctx (Asm.Jmp_lbl (sym ctx.ns (f ^ ".part.0")));
       emit ctx (Asm.Label skip)
     end
-    else emit_call ctx f
+    else emit_call ctx (sym ctx.ns f)
 
 and lower_stmts ctx stmts = List.iter (lower_stmt ctx) stmts
 
@@ -357,11 +383,10 @@ let rec stmts_use_pic stmts =
       | Ir.Try_catch (b, hs) -> stmts_use_pic b || List.exists stmts_use_pic hs)
     stmts
 
-let new_ctx opts fname epilogue =
+let new_ctx opts ns fname epilogue =
   {
     opts;
-    fname;
-    counter = 0;
+    ns;
     rolling = Hashtbl.hash fname land 0xFFFFFF;
     rev_items = [];
     rev_tail = [];
@@ -382,8 +407,26 @@ let wants_endbr opts (f : Ir.func) =
        (the programmer knows which addresses escape). *)
     f.address_taken || f.name = "main"
 
-(* Lower one IR function into its main fragment plus any split fragments. *)
-let lower_function opts (f : Ir.func) ~pic_thunk_used =
+(* A [.cold] or [.part.0] fragment of [parent], lowered in [ctx]. *)
+let split_fragment ctx ~parent name label end_label =
+  {
+    frag_name = name;
+    frag_label = label;
+    end_label;
+    parent = Some parent;
+    is_function = false;
+    has_symbol = true;
+    global = false;
+    items = List.rev ctx.rev_items;
+    lsda_sites = [];
+    handler_count = 0;
+    tables = List.rev ctx.tables;
+  }
+
+(* Lower one IR function into its main fragment plus its split fragments:
+   the [.part.0] fragment, laid out right behind the function, and the
+   [.cold] fragment, laid out after every function. *)
+let lower_function opts ns (f : Ir.func) ~pic_thunk_used =
   let align = Options.function_alignment opts in
   let seed = Hashtbl.hash f.name land 0xFFFF in
   let split = Options.cold_splitting_enabled opts in
@@ -391,88 +434,77 @@ let lower_function opts (f : Ir.func) ~pic_thunk_used =
   let prologue, epilogue_core = frame_shape opts ~leaf ~seed in
   (* The context's epilogue excludes [ret]: tail-call sites splice it in
      front of their [jmp]. *)
-  let ctx = new_ctx opts f.name epilogue_core in
+  let ctx = new_ctx opts ns f.name epilogue_core in
+  let self = sym ns f.name in
   emit ctx (Asm.Align { boundary = align; fill = Asm.Fill_nop });
-  emit ctx (Asm.Label f.name);
+  emit ctx (Asm.Label self);
   if wants_endbr opts f then emit_ins ctx Insn.Endbr;
   List.iter (emit ctx) prologue;
   if x86 ctx && ctx.opts.Options.pie && stmts_use_pic f.body then begin
     pic_thunk_used := true;
-    emit ctx (Asm.Call_lbl thunk_bx);
+    emit ctx (Asm.Call_lbl (sym ns thunk_bx));
     emit_ins ctx (Insn.Add_ri (Reg.RBX, 0x2000 + (seed land 0xFFF)))
   end;
   lower_stmts ctx f.body;
   (* Split fates. *)
-  let extra_fragments = ref [] in
-  (match f.fate with
-  | Ir.Keep_whole -> ()
-  | Ir.Split_cold cold_body ->
-    if split then begin
-      let cold_name = f.name ^ ".cold" in
-      let back = fresh ctx "cb" in
-      emit_ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
-      emit ctx (Asm.Jcc_lbl (Insn.E, cold_name));
-      emit ctx (Asm.Label back);
-      let cctx = new_ctx opts cold_name [] in
-      emit cctx (Asm.Label cold_name);
-      lower_stmts cctx cold_body;
-      emit cctx (Asm.Jmp_lbl back);
-      emit cctx (Asm.Label (frag_end_label cold_name));
-      extra_fragments :=
-        {
-          frag_name = cold_name;
-          parent = Some f.name;
-          is_function = false;
-          has_symbol = true;
-          global = false;
-          items = List.rev cctx.rev_items;
-          lsda_sites = [];
-          handler_count = 0;
-          tables = List.rev cctx.tables;
-        }
-        :: !extra_fragments
-    end
-    else begin
-      let skip = fresh ctx "cs" in
-      emit_ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
-      emit ctx (Asm.Jcc_lbl (Insn.NE, skip));
-      lower_stmts ctx cold_body;
-      emit ctx (Asm.Label skip)
-    end
-  | Ir.Split_part { part_body; _ } ->
-    if split then begin
-      let part_name = f.name ^ ".part.0" in
-      emit ctx (Asm.Call_lbl part_name);
-      let p_pro, p_epi = frame_shape opts ~leaf:false ~seed:(seed + 1) in
-      let pctx = new_ctx opts part_name p_epi in
-      emit pctx (Asm.Label part_name);
-      List.iter (emit pctx) p_pro;
-      lower_stmts pctx part_body;
-      List.iter (emit pctx) p_epi;
-      emit pctx (Asm.Ins Insn.Ret);
-      emit pctx (Asm.Label (frag_end_label part_name));
-      extra_fragments :=
-        {
-          frag_name = part_name;
-          parent = Some f.name;
-          is_function = false;
-          has_symbol = true;
-          global = false;
-          items = List.rev pctx.rev_items;
-          lsda_sites = [];
-          handler_count = 0;
-          tables = List.rev pctx.tables;
-        }
-        :: !extra_fragments
-    end
-    else lower_stmts ctx part_body);
-  List.iter (emit ctx) (epilogue_core @ [ Asm.Ins Insn.Ret ]);
+  let part, cold =
+    match f.fate with
+    | Ir.Keep_whole -> (None, None)
+    | Ir.Split_cold cold_body ->
+      if split then begin
+        let cold_name = f.name ^ ".cold" in
+        let cold_label = sym ns cold_name and back = fresh ctx in
+        emit_ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
+        emit ctx (Asm.Jcc_lbl (Insn.E, cold_label));
+        emit ctx (Asm.Label back);
+        let cctx = new_ctx opts ns cold_name [] in
+        let cold_end = fresh cctx in
+        emit cctx (Asm.Label cold_label);
+        lower_stmts cctx cold_body;
+        emit cctx (Asm.Jmp_lbl back);
+        emit cctx (Asm.Label cold_end);
+        (None, Some (split_fragment cctx ~parent:f.name cold_name cold_label cold_end))
+      end
+      else begin
+        let skip = fresh ctx in
+        emit_ins ctx (Insn.Cmp_ri (Reg.RDX, 1));
+        emit ctx (Asm.Jcc_lbl (Insn.NE, skip));
+        lower_stmts ctx cold_body;
+        emit ctx (Asm.Label skip);
+        (None, None)
+      end
+    | Ir.Split_part { part_body; _ } ->
+      if split then begin
+        let part_name = f.name ^ ".part.0" in
+        let part_label = sym ns part_name in
+        emit ctx (Asm.Call_lbl part_label);
+        let p_pro, p_epi = frame_shape opts ~leaf:false ~seed:(seed + 1) in
+        let pctx = new_ctx opts ns part_name p_epi in
+        let part_end = fresh pctx in
+        emit pctx (Asm.Label part_label);
+        List.iter (emit pctx) p_pro;
+        lower_stmts pctx part_body;
+        List.iter (emit pctx) p_epi;
+        emit pctx (Asm.Ins Insn.Ret);
+        emit pctx (Asm.Label part_end);
+        (Some (split_fragment pctx ~parent:f.name part_name part_label part_end), None)
+      end
+      else begin
+        lower_stmts ctx part_body;
+        (None, None)
+      end
+  in
+  List.iter (emit ctx) epilogue_core;
+  emit_ins ctx Insn.Ret;
   (* Landing pads and other post-return blocks. *)
   List.iter (emit ctx) (List.rev ctx.rev_tail);
-  emit ctx (Asm.Label (frag_end_label f.name));
+  let end_label = fresh ctx in
+  emit ctx (Asm.Label end_label);
   let main_frag =
     {
       frag_name = f.name;
+      frag_label = self;
+      end_label;
       parent = None;
       is_function = true;
       has_symbol = true;
@@ -483,23 +515,26 @@ let lower_function opts (f : Ir.func) ~pic_thunk_used =
       tables = List.rev ctx.tables;
     }
   in
-  (main_frag, List.rev !extra_fragments)
+  (main_frag, part, cold)
 
-let start_fragment opts ~use_thunk_ax =
+let start_fragment opts ns ~use_thunk_ax =
   let items = ref [] in
   let add i = items := i :: !items in
+  let self = sym ns "_start" and end_label = new_label ns in
   add (Asm.Align { boundary = 16; fill = Asm.Fill_nop });
-  add (Asm.Label "_start");
+  add (Asm.Label self);
   if opts.Options.cf_protection <> Options.Cf_none then add (Asm.Ins Insn.Endbr);
-  if use_thunk_ax then add (Asm.Call_lbl thunk_ax);
+  if use_thunk_ax then add (Asm.Call_lbl (sym ns thunk_ax));
   add (Asm.Ins (Insn.Xor_rr (Reg.RBP, Reg.RBP)));
-  if opts.Options.arch = Arch.X86 then add (Asm.Push_lbl "main")
-  else add (Asm.Lea_lbl (Reg.RDI, "main"));
-  add (Asm.Call_lbl (plt_label "__libc_start_main"));
+  if opts.Options.arch = Arch.X86 then add (Asm.Push_lbl (sym ns "main"))
+  else add (Asm.Lea_lbl (Reg.RDI, sym ns "main"));
+  add (Asm.Call_lbl (plt ns "__libc_start_main"));
   add (Asm.Ins Insn.Hlt);
-  add (Asm.Label (frag_end_label "_start"));
+  add (Asm.Label end_label);
   {
     frag_name = "_start";
+    frag_label = self;
+    end_label;
     parent = None;
     is_function = true;
     has_symbol = true;
@@ -510,9 +545,12 @@ let start_fragment opts ~use_thunk_ax =
     tables = [];
   }
 
-let thunk_fragment name ~has_symbol =
+let thunk_fragment ns name ~has_symbol =
+  let self = sym ns name and end_label = new_label ns in
   {
     frag_name = name;
+    frag_label = self;
+    end_label;
     parent = None;
     is_function = true;
     has_symbol;
@@ -520,10 +558,10 @@ let thunk_fragment name ~has_symbol =
     items =
       [
         Asm.Align { boundary = 16; fill = Asm.Fill_nop };
-        Asm.Label name;
+        Asm.Label self;
         Asm.Ins (Insn.Mov_rm (Reg.RBX, Insn.mem_base Reg.RSP 0));
         Asm.Ins Insn.Ret;
-        Asm.Label (frag_end_label name);
+        Asm.Label end_label;
       ];
     lsda_sites = [];
     handler_count = 0;
@@ -534,22 +572,21 @@ let lower opts (p : Ir.program) =
   (match Ir.validate p with
   | Ok () -> ()
   | Error e -> invalid_arg ("Codegen.lower: " ^ e));
+  let ns = { next = 0; syms = Hashtbl.create 256; plts = Hashtbl.create 16 } in
   let x86_pie = opts.Options.arch = Arch.X86 && opts.Options.pie in
   let pic_thunk_used = ref false in
-  let lowered = List.map (lower_function opts ~pic_thunk_used) p.funcs in
-  let mains = List.concat_map (fun (m, extras) -> m :: List.filter (fun fr -> fr.parent <> None && Filename.check_suffix fr.frag_name ".part.0") extras) lowered in
-  let colds =
-    List.concat_map
-      (fun (_, extras) ->
-        List.filter (fun fr -> Filename.check_suffix fr.frag_name ".cold") extras)
-      lowered
-  in
+  let lowered = List.map (lower_function opts ns ~pic_thunk_used) p.funcs in
+  let mains = List.concat_map (fun (m, part, _) -> m :: Option.to_list part) lowered in
+  let colds = List.filter_map (fun (_, _, cold) -> cold) lowered in
   let thunks =
     if x86_pie then
-      [ thunk_fragment thunk_ax ~has_symbol:false ]
-      @ if !pic_thunk_used then [ thunk_fragment thunk_bx ~has_symbol:true ] else []
+      [ thunk_fragment ns thunk_ax ~has_symbol:false ]
+      @ if !pic_thunk_used then [ thunk_fragment ns thunk_bx ~has_symbol:true ] else []
     else []
   in
-  let fragments = (start_fragment opts ~use_thunk_ax:x86_pie :: thunks) @ mains @ colds in
-  let imports = "__libc_start_main" :: Ir.collect_imports p in
-  { fragments; imports }
+  let start = start_fragment opts ns ~use_thunk_ax:x86_pie in
+  let fragments = ((start :: thunks) @ mains) @ colds in
+  let imports =
+    List.map (fun name -> (name, plt ns name)) ("__libc_start_main" :: Ir.collect_imports p)
+  in
+  { fragments; imports; label_count = ns.next }

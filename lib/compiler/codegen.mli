@@ -20,34 +20,36 @@
       compiler emits without a symbol when only [_start] references it. *)
 
 type lsda_site = {
-  try_start : string;  (** label opening the guarded region *)
-  try_end : string;  (** label closing it *)
-  landing : string option;  (** landing-pad label *)
+  try_start : Cet_x86.Asm.label;  (** label opening the guarded region *)
+  try_end : Cet_x86.Asm.label;  (** label closing it *)
+  landing : Cet_x86.Asm.label option;  (** landing-pad label *)
 }
 
 type fragment = {
   frag_name : string;  (** symbol name: ["foo"], ["foo.cold"], ["foo.part.0"] *)
+  frag_label : Cet_x86.Asm.label;  (** the fragment's entry *)
+  end_label : Cet_x86.Asm.label;  (** the fragment's end, its last item *)
   parent : string option;  (** owning function for [.cold]/[.part] fragments *)
   is_function : bool;  (** [true] for genuine functions (ground truth) *)
   has_symbol : bool;  (** [false] for the omitted-thunk corner case *)
   global : bool;  (** symbol binding: STB_GLOBAL vs STB_LOCAL *)
   items : Cet_x86.Asm.item list;
-      (** starts with [Label frag_name], ends with [Label (frag_name ^ "$end")] *)
+      (** defines [frag_label] at the entry and ends with [Label end_label] *)
   lsda_sites : lsda_site list;
   handler_count : int;
-  tables : (string * string list) list;
+  tables : (Cet_x86.Asm.label * Cet_x86.Asm.label list) list;
       (** jump tables: table label → case labels (absolute entries) *)
 }
 
 type output = {
   fragments : fragment list;  (** in final [.text] layout order *)
-  imports : string list;  (** PLT entries, in order *)
+  imports : (string * Cet_x86.Asm.label) list;
+      (** PLT entries, in order, each with the label its callers reference *)
+  label_count : int;
+      (** every label of the output is in [0 .. label_count - 1]: one
+          namespace for the whole program, where each named symbol and
+          each import has one label *)
 }
-
-val plt_label : string -> string
-(** Label under which the link stage exposes an import's PLT entry. *)
-
-val frag_end_label : string -> string
 
 val lower : Options.t -> Ir.program -> output
 (** Lower a validated program.  Raises [Invalid_argument] when

@@ -71,42 +71,44 @@ let link (opts : Options.t) (p : Ir.program) =
   let ptr = Arch.ptr_size arch in
   let out = Codegen.lower opts p in
   let nimports = List.length out.imports in
+  let import_names = List.map fst out.imports in
   let base = base_address opts in
   let plt_vaddr = base in
   let plt_size = plt_entry_size * (nimports + 1) in
   let text_vaddr = align_up (plt_vaddr + plt_size) 16 in
-  let all_items = List.concat_map (fun f -> f.Codegen.items) out.fragments in
-  (* One emission pass fixes the layout; label fields are patched once the
-     .rodata/EH/GOT layout below resolves the symbols outside .text. *)
-  let text_asm = Asm.emit ~arch ~base:text_vaddr all_items in
+  (* One emission pass over the fragments fixes the layout; label fields
+     are patched once the .rodata/EH/GOT layout below resolves the labels
+     outside .text. *)
+  let text_asm =
+    Asm.emit ~arch ~base:text_vaddr (List.map (fun f -> f.Codegen.items) out.fragments)
+  in
   let text_size = Asm.size text_asm in
   let addr_of l =
     match Asm.label text_asm l with
     | Some a -> a
-    | None -> invalid_arg ("Link: undefined label " ^ l)
+    | None -> invalid_arg (Printf.sprintf "Link: undefined label L%d" l)
   in
-  (* PLT entry addresses for plt$… labels. *)
+  (* Addresses of the labels outside .text (PLT entries and .rodata jump
+     tables), indexed by label; -1 for the rest. *)
+  let outside = Array.make out.label_count (-1) in
   let plt_entries =
-    List.mapi (fun i name -> (name, plt_vaddr + ((i + 1) * plt_entry_size))) out.imports
-  in
-  let plt_addr name =
-    match List.assoc_opt name plt_entries with
-    | Some a -> a
-    | None -> invalid_arg ("Link: unknown import " ^ name)
+    List.mapi
+      (fun i (name, l) ->
+        let a = plt_vaddr + ((i + 1) * plt_entry_size) in
+        (* A name listed twice resolves to its first entry. *)
+        if outside.(l) < 0 then outside.(l) <- a;
+        (name, a))
+      out.imports
   in
   (* Jump tables into .rodata. *)
   let tables = List.concat_map (fun f -> f.Codegen.tables) out.fragments in
   let rodata_vaddr = align_up (text_vaddr + text_size) 16 in
   let rodata, table_offsets = jump_table_bytes arch ~resolve:addr_of tables in
-  let table_addr =
-    List.map (fun (l, off) -> (l, rodata_vaddr + off)) table_offsets
-  in
+  List.iter (fun (l, off) -> outside.(l) <- rodata_vaddr + off) table_offsets;
   (* Fragment extents. *)
   let fragment_extents =
     List.map
-      (fun f ->
-        let name = f.Codegen.frag_name in
-        (name, addr_of name, addr_of (Codegen.frag_end_label name)))
+      (fun f -> (f.Codegen.frag_name, addr_of f.Codegen.frag_label, addr_of f.Codegen.end_label))
       out.fragments
   in
   (* LSDAs. *)
@@ -116,7 +118,7 @@ let link (opts : Options.t) (p : Ir.program) =
   let lsdas =
     List.map
       (fun f ->
-        let fstart = addr_of f.Codegen.frag_name in
+        let fstart = addr_of f.Codegen.frag_label in
         let sites =
           List.map
             (fun (s : Codegen.lsda_site) ->
@@ -198,13 +200,8 @@ let link (opts : Options.t) (p : Ir.program) =
   let data = String.make 32 '\x00' in
   (* Final text patch. *)
   let resolve l =
-    match String.index_opt l '$' with
-    | Some 3 when String.length l > 4 && String.sub l 0 4 = "plt$" ->
-      plt_addr (String.sub l 4 (String.length l - 4))
-    | _ -> (
-      match List.assoc_opt l table_addr with
-      | Some a -> a
-      | None -> invalid_arg ("Link: unresolved symbol " ^ l))
+    let a = outside.(l) in
+    if a < 0 then invalid_arg (Printf.sprintf "Link: unresolved symbol L%d" l) else a
   in
   let text = Asm.patch text_asm ~resolve in
   assert (String.length text = text_size);
@@ -229,11 +226,10 @@ let link (opts : Options.t) (p : Ir.program) =
       (fun f ->
         if not f.Codegen.has_symbol then None
         else begin
-          let name = f.Codegen.frag_name in
-          let start = addr_of name and stop = addr_of (Codegen.frag_end_label name) in
+          let start = addr_of f.Codegen.frag_label and stop = addr_of f.Codegen.end_label in
           Some
             {
-              Symbol.name;
+              Symbol.name = f.Codegen.frag_name;
               value = start;
               size = stop - start;
               kind = Symbol.Func;
@@ -243,9 +239,9 @@ let link (opts : Options.t) (p : Ir.program) =
         end)
       out.fragments
   in
-  let dynsyms = List.map Symbol.undef_func out.imports in
+  let dynsyms = List.map Symbol.undef_func import_names in
   let plt_relocs =
-    List.mapi (fun i name -> (got_vaddr + ((3 + i) * ptr), name)) out.imports
+    List.mapi (fun i name -> (got_vaddr + ((3 + i) * ptr), name)) import_names
   in
   (* Debug info (-g, as the paper's dataset is built): subprogram DIEs for
      every symbol-carrying fragment, including .cold/.part — the ground
@@ -260,12 +256,11 @@ let link (opts : Options.t) (p : Ir.program) =
             (fun f ->
               if not f.Codegen.has_symbol then None
               else
-                let name = f.Codegen.frag_name in
                 Some
                   {
-                    Cet_eh.Dwarf_info.sp_name = name;
-                    sp_low_pc = addr_of name;
-                    sp_high_pc = addr_of (Codegen.frag_end_label name);
+                    Cet_eh.Dwarf_info.sp_name = f.Codegen.frag_name;
+                    sp_low_pc = addr_of f.Codegen.frag_label;
+                    sp_high_pc = addr_of f.Codegen.end_label;
                     sp_external = f.Codegen.global;
                   })
             out.fragments;
@@ -300,25 +295,26 @@ let link (opts : Options.t) (p : Ir.program) =
         Image.section ~name:".debug_str" ~vaddr:0 ~flags:0 dwarf_str;
       ]
   in
+  let truth =
+    List.filter_map
+      (fun f ->
+        if f.Codegen.is_function then Some (f.Codegen.frag_name, addr_of f.Codegen.frag_label)
+        else None)
+      out.fragments
+  in
   let image =
     {
       Image.arch;
       machine = None;
       pie = opts.pie;
       cet_note = opts.cf_protection <> Options.Cf_none;
-      entry = addr_of "_start";
+      (* [Codegen.lower] puts the _start fragment first. *)
+      entry = addr_of (List.hd out.fragments).Codegen.frag_label;
       sections;
       symbols = file_symbol :: func_symbols;
       dynsyms;
       plt_relocs;
     }
-  in
-  let truth =
-    List.filter_map
-      (fun f ->
-        if f.Codegen.is_function then Some (f.Codegen.frag_name, addr_of f.Codegen.frag_name)
-        else None)
-      out.fragments
   in
   { image; truth; fragment_extents; plt_entries }
 

@@ -1,35 +1,64 @@
 module W = Cet_util.Bytesio.W
 
+type label = int
 type fill = Fill_nop | Fill_int3 | Fill_zero
 
 type item =
-  | Label of string
+  | Label of label
   | Ins of Insn.t
-  | Call_lbl of string
-  | Jmp_lbl of string
-  | Jcc_lbl of Insn.cond * string
-  | Lea_lbl of Register.t * string
-  | Push_lbl of string
-  | Mov_mi_lbl of Insn.mem * string
-  | Jmp_table_lbl of { table : string; index : Register.t; scale : int; notrack : bool }
-  | Mov_rm_table of { dst : Register.t; table : string; index : Register.t; scale : int }
+  | Call_lbl of label
+  | Jmp_lbl of label
+  | Jcc_lbl of Insn.cond * label
+  | Lea_lbl of Register.t * label
+  | Push_lbl of label
+  | Mov_mi_lbl of Insn.mem * label
+  | Jmp_table_lbl of { table : label; index : Register.t; scale : int; notrack : bool }
+  | Mov_rm_table of { dst : Register.t; table : label; index : Register.t; scale : int }
   | Bytes_raw of string
-  | Table of { entries : string list; entry_size : int }
+  | Table of { entries : label list; entry_size : int }
   | Align of { boundary : int; fill : fill }
 
-(* A label-taking field left as a placeholder by [emit]: [Rel32] is a
-   displacement from the field's end (which is the instruction's end),
-   [Abs32] and [Push_imm32] an absolute address, [Word n] an n-byte table
-   word. *)
-type kind = Rel32 | Abs32 | Push_imm32 | Word of int
-type fixup = { off : int; kind : kind; label : string }
+(* Fixup kinds of a label-taking field left as a placeholder by [emit]:
+   [rel32] is a displacement from the field's end (which is the
+   instruction's end), [abs32] and [push_imm32] an absolute address, and
+   kind [word + n] an n-byte table word. *)
+let rel32 = 0
+let abs32 = 1
+let push_imm32 = 2
+let word = 3
 
 type emitted = {
   base : int;
   w : W.t;
-  labels : (string, int) Hashtbl.t;
-  fixups : fixup list;  (** latest first *)
+  mutable addrs : int array;  (** label → address; -1 while undefined *)
+  mutable fixups : int array;  (** flat (offset, kind, label) triples, in item order *)
+  mutable nfix : int;  (** ints used in [fixups] *)
 }
+
+let check_label l = if l < 0 then invalid_arg "Asm: negative label"
+
+let define e l addr =
+  check_label l;
+  let len = Array.length e.addrs in
+  if l >= len then begin
+    let a = Array.make (max (2 * len) (l + 1)) (-1) in
+    Array.blit e.addrs 0 a 0 len;
+    e.addrs <- a
+  end;
+  e.addrs.(l) <- addr
+
+let add_fixup e off kind l =
+  check_label l;
+  let n = e.nfix in
+  if n + 3 > Array.length e.fixups then begin
+    let a = Array.make (2 * Array.length e.fixups) 0 in
+    Array.blit e.fixups 0 a 0 n;
+    e.fixups <- a
+  end;
+  e.fixups.(n) <- off;
+  e.fixups.(n + 1) <- kind;
+  e.fixups.(n + 2) <- l;
+  e.nfix <- n + 3
 
 let pad_amount addr boundary =
   let rem = addr mod boundary in
@@ -52,48 +81,51 @@ let fill_to w fill n =
   | Fill_int3 -> for _ = 1 to n do W.u8 w 0xCC done
   | Fill_zero -> W.zeros w n
 
-let emit ~arch ~base items =
+let emit ~arch ~base chunks =
   let w = W.create ~size:4096 () in
-  let labels = Hashtbl.create 256 in
-  let fixups = ref [] in
+  let e = { base; w; addrs = Array.make 256 (-1); fixups = Array.make 768 0; nfix = 0 } in
   (* Encode [insn] with a placeholder in its trailing 32-bit field. *)
-  let field kind label insn =
+  let field kind l insn =
     Encoder.encode_to w arch insn;
-    fixups := { off = W.length w - 4; kind; label } :: !fixups
+    add_fixup e (W.length w - 4) kind l
   in
-  List.iter
-    (function
-      | Label l -> Hashtbl.replace labels l (base + W.length w)
-      | Ins i -> Encoder.encode_to w arch i
-      | Call_lbl l -> field Rel32 l (Insn.Call_rel 0)
-      | Jmp_lbl l -> field Rel32 l (Insn.Jmp_rel 0)
-      | Jcc_lbl (c, l) -> field Rel32 l (Insn.Jcc_rel (c, 0))
-      | Lea_lbl (r, l) -> (
-        match arch with
-        | Arch.X64 -> field Rel32 l (Insn.Lea (r, Insn.mem_abs 0))
-        | Arch.X86 -> field Abs32 l (Insn.Mov_ri (r, 0)))
-      | Push_lbl l -> field Push_imm32 l (Insn.Push_imm 0x7fffffff)
-      | Mov_mi_lbl (m, l) -> field Abs32 l (Insn.Mov_mi (m, 0))
-      | Jmp_table_lbl { table; index; scale; notrack } ->
-        field Abs32 table
-          (Insn.Jmp_mem
-             { mem = { base = None; index = Some (index, scale); disp = 0 }; notrack })
-      | Mov_rm_table { dst; table; index; scale } ->
-        field Abs32 table
-          (Insn.Mov_rm (dst, { base = None; index = Some (index, scale); disp = 0 }))
-      | Bytes_raw s -> W.bytes w s
-      | Table { entries; entry_size } ->
-        List.iter
-          (fun l ->
-            fixups := { off = W.length w; kind = Word entry_size; label = l } :: !fixups;
-            W.zeros w entry_size)
-          entries
-      | Align { boundary; fill } -> fill_to w fill (pad_amount (base + W.length w) boundary))
-    items;
-  { base; w; labels; fixups = !fixups }
+  let item = function
+    | Label l -> define e l (base + W.length w)
+    | Ins i -> Encoder.encode_to w arch i
+    | Call_lbl l -> field rel32 l (Insn.Call_rel 0)
+    | Jmp_lbl l -> field rel32 l (Insn.Jmp_rel 0)
+    | Jcc_lbl (c, l) -> field rel32 l (Insn.Jcc_rel (c, 0))
+    | Lea_lbl (r, l) -> (
+      match arch with
+      | Arch.X64 -> field rel32 l (Insn.Lea (r, Insn.mem_abs 0))
+      | Arch.X86 -> field abs32 l (Insn.Mov_ri (r, 0)))
+    | Push_lbl l -> field push_imm32 l (Insn.Push_imm 0x7fffffff)
+    | Mov_mi_lbl (m, l) -> field abs32 l (Insn.Mov_mi (m, 0))
+    | Jmp_table_lbl { table; index; scale; notrack } ->
+      field abs32 table
+        (Insn.Jmp_mem { mem = { base = None; index = Some (index, scale); disp = 0 }; notrack })
+    | Mov_rm_table { dst; table; index; scale } ->
+      field abs32 table
+        (Insn.Mov_rm (dst, { base = None; index = Some (index, scale); disp = 0 }))
+    | Bytes_raw s -> W.bytes w s
+    | Table { entries; entry_size } ->
+      List.iter
+        (fun l ->
+          add_fixup e (W.length w) (word + entry_size) l;
+          W.zeros w entry_size)
+        entries
+    | Align { boundary; fill } -> fill_to w fill (pad_amount (base + W.length w) boundary)
+  in
+  List.iter (List.iter item) chunks;
+  e
 
 let size e = W.length e.w
-let label e l = Hashtbl.find_opt e.labels l
+
+let local e l = if l >= 0 && l < Array.length e.addrs then e.addrs.(l) else -1
+
+let label e l =
+  let a = local e l in
+  if a < 0 then None else Some a
 
 let set_le b off n v =
   for i = 0 to n - 1 do
@@ -102,29 +134,31 @@ let set_le b off n v =
 
 let patch e ~resolve =
   let b = W.to_bytes e.w in
-  List.iter
-    (fun { off; kind; label } ->
-      let target =
-        match Hashtbl.find_opt e.labels label with Some a -> a | None -> resolve label
-      in
-      match kind with
-      | Rel32 ->
-        let v = target - (e.base + off + 4) in
-        if v < -0x80000000 || v > 0x7fffffff then invalid_arg "Asm: rel32 overflow";
-        set_le b off 4 v
-      | Abs32 -> set_le b off 4 target
-      | Push_imm32 ->
-        (* The placeholder is the imm32 form; section bases guarantee code
-           addresses never fit in imm8. *)
-        assert (target >= 128);
-        set_le b off 4 target
-      | Word n -> set_le b off n target)
-    (List.rev e.fixups);
+  let fx = e.fixups in
+  let i = ref 0 in
+  while !i < e.nfix do
+    let off = fx.(!i) and kind = fx.(!i + 1) and l = fx.(!i + 2) in
+    let target = match local e l with -1 -> resolve l | a -> a in
+    if kind = rel32 then begin
+      let v = target - (e.base + off + 4) in
+      if v < -0x80000000 || v > 0x7fffffff then invalid_arg "Asm: rel32 overflow";
+      Bytes.set_int32_le b off (Int32.of_int v)
+    end
+    else if kind = push_imm32 then begin
+      (* The placeholder is the imm32 form; section bases guarantee code
+         addresses never fit in imm8. *)
+      assert (target >= 128);
+      Bytes.set_int32_le b off (Int32.of_int target)
+    end
+    else if kind = abs32 then Bytes.set_int32_le b off (Int32.of_int target)
+    else set_le b off (kind - word) target;
+    i := !i + 3
+  done;
   Bytes.unsafe_to_string b
 
 let measure ~arch ~base items =
-  let e = emit ~arch ~base items in
-  let addr = function Label l -> Some (l, Hashtbl.find e.labels l) | _ -> None in
+  let e = emit ~arch ~base [ items ] in
+  let addr = function Label l -> Some (l, e.addrs.(l)) | _ -> None in
   (size e, List.filter_map addr items)
 
-let assemble ~arch ~base ~resolve items = patch (emit ~arch ~base items) ~resolve
+let assemble ~arch ~base ~resolve items = patch (emit ~arch ~base [ items ]) ~resolve

@@ -129,7 +129,7 @@ let test_resync_anchored_counts_runs () =
 
 let test_align_zero_fill () =
   let items =
-    [ Asm.Ins Insn.Ret; Asm.Align { boundary = 8; fill = Asm.Fill_zero }; Asm.Label "x" ]
+    [ Asm.Ins Insn.Ret; Asm.Align { boundary = 8; fill = Asm.Fill_zero }; Asm.Label 0 ]
   in
   let bytes = Asm.assemble ~arch:Arch.X64 ~base:0 ~resolve:(fun _ -> 0) items in
   check Alcotest.string "zero pad" ("\xc3" ^ String.make 7 '\x00') bytes
@@ -140,17 +140,18 @@ let test_align_already_aligned () =
   check Alcotest.int "no padding" 1 (String.length bytes)
 
 let test_mov_mi_lbl () =
-  let items = [ Asm.Mov_mi_lbl (Insn.mem_base Reg.RSP 4, "fn") ] in
+  let items = [ Asm.Mov_mi_lbl (Insn.mem_base Reg.RSP 4, 0) ] in
   let bytes = Asm.assemble ~arch:Arch.X86 ~base:0 ~resolve:(fun _ -> 0x8049100) items in
   (* mov dword [esp+4], 0x8049100 = C7 44 24 04 00 91 04 08 *)
   check Alcotest.string "store label" "c7 44 24 04 00 91 04 08"
     (Cet_util.Hexdump.bytes_inline bytes)
 
 let test_undefined_label_raises () =
-  let items = [ Asm.Jmp_lbl "nowhere" ] in
+  let nowhere = 0 in
+  let items = [ Asm.Jmp_lbl nowhere ] in
   match
     Asm.assemble ~arch:Arch.X64 ~base:0
-      ~resolve:(fun l -> invalid_arg ("unknown " ^ l))
+      ~resolve:(fun l -> invalid_arg (Printf.sprintf "unknown L%d" l))
       items
   with
   | exception Invalid_argument _ -> ()

@@ -453,16 +453,17 @@ let qcheck_stream_roundtrip =
 (* Assembler                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let no_extern l = invalid_arg ("unexpected extern " ^ l)
+let no_extern l = invalid_arg (Printf.sprintf "unexpected extern L%d" l)
 
 let test_asm_forward_backward () =
+  let a = 0 and b = 1 in
   let items =
     [
-      Asm.Label "a";
+      Asm.Label a;
       Asm.Ins Insn.Nop;
-      Asm.Jmp_lbl "b";
-      Asm.Label "b";
-      Asm.Jmp_lbl "a";
+      Asm.Jmp_lbl b;
+      Asm.Label b;
+      Asm.Jmp_lbl a;
     ]
   in
   let bytes = Asm.assemble ~arch:Arch.X64 ~base:0x1000 ~resolve:no_extern items in
@@ -474,30 +475,32 @@ let test_asm_forward_backward () =
   check Alcotest.string "backward" "e9 f5 ff ff ff" (hex (String.sub bytes 6 5))
 
 let test_asm_measure_matches () =
+  let f = 0 and g = 1 and end_ = 2 in
   let items =
     [
       Asm.Align { boundary = 16; fill = Asm.Fill_nop };
-      Asm.Label "f";
+      Asm.Label f;
       Asm.Ins Insn.Endbr;
-      Asm.Call_lbl "g";
+      Asm.Call_lbl g;
       Asm.Align { boundary = 16; fill = Asm.Fill_int3 };
-      Asm.Label "g";
+      Asm.Label g;
       Asm.Ins Insn.Ret;
-      Asm.Label "end";
+      Asm.Label end_;
     ]
   in
   let size, labels = Asm.measure ~arch:Arch.X64 ~base:0x2000 items in
   let bytes = Asm.assemble ~arch:Arch.X64 ~base:0x2000 ~resolve:no_extern items in
   check Alcotest.int "measured size" (String.length bytes) size;
-  check Alcotest.int "g aligned" 0 (List.assoc "g" labels mod 16);
-  check Alcotest.int "end" (0x2000 + size) (List.assoc "end" labels)
+  check Alcotest.int "g aligned" 0 (List.assoc g labels mod 16);
+  check Alcotest.int "end" (0x2000 + size) (List.assoc end_ labels)
 
 let test_asm_extern_resolution () =
-  let items = [ Asm.Label "f"; Asm.Call_lbl "printf@plt" ] in
+  let f = 0 and printf_plt = 1 in
+  let items = [ Asm.Label f; Asm.Call_lbl printf_plt ] in
   let bytes =
     Asm.assemble ~arch:Arch.X64 ~base:0x1000
       ~resolve:(fun l ->
-        check Alcotest.string "extern name" "printf@plt" l;
+        check Alcotest.int "extern label" printf_plt l;
         0x500)
       items
   in
@@ -505,7 +508,8 @@ let test_asm_extern_resolution () =
   check Alcotest.string "extern call" "e8 fb f4 ff ff" (hex bytes)
 
 let test_asm_lea_lbl_by_arch () =
-  let items = [ Asm.Label "f"; Asm.Lea_lbl (Reg.RDI, "g") ] in
+  let f = 0 and g = 1 in
+  let items = [ Asm.Label f; Asm.Lea_lbl (Reg.RDI, g) ] in
   let x64 = Asm.assemble ~arch:Arch.X64 ~base:0x1000 ~resolve:(fun _ -> 0x3000) items in
   (* lea rdi,[rip+d], len 7: d = 0x3000 - 0x1007 = 0x1ff9 *)
   check Alcotest.string "x64 lea" "48 8d 3d f9 1f 00 00" (hex x64);
@@ -515,7 +519,7 @@ let test_asm_lea_lbl_by_arch () =
 let test_asm_nop_fill_decodes () =
   (* Alignment padding must be decodable NOPs of exactly the gap size. *)
   let items =
-    [ Asm.Ins Insn.Ret; Asm.Align { boundary = 16; fill = Asm.Fill_nop }; Asm.Label "f" ]
+    [ Asm.Ins Insn.Ret; Asm.Align { boundary = 16; fill = Asm.Fill_nop }; Asm.Label 0 ]
   in
   let bytes = Asm.assemble ~arch:Arch.X64 ~base:0 ~resolve:no_extern items in
   check Alcotest.int "padded to 16" 16 (String.length bytes);
@@ -527,10 +531,11 @@ let test_asm_nop_fill_decodes () =
   done
 
 let test_asm_jmp_table_item () =
+  let f = 0 and jt = 1 in
   let items =
     [
-      Asm.Label "f";
-      Asm.Jmp_table_lbl { table = "jt"; index = Reg.RAX; scale = 4; notrack = true };
+      Asm.Label f;
+      Asm.Jmp_table_lbl { table = jt; index = Reg.RAX; scale = 4; notrack = true };
     ]
   in
   let bytes = Asm.assemble ~arch:Arch.X86 ~base:0 ~resolve:(fun _ -> 0x804000) items in
@@ -540,8 +545,9 @@ let test_asm_jmp_table_item () =
 (* Assembler property: one-pass emission vs a per-item reference      *)
 (* ------------------------------------------------------------------ *)
 
-let asm_locals = [ "a"; "b"; "c"; "d" ]
-let asm_externs = [ ("ext_lo", 0x200); ("ext_hi", 0x4000_0000) ]
+(* Labels 0-3 are local, 4 and 5 external (low and high addresses). *)
+let asm_locals = [ 0; 1; 2; 3 ]
+let asm_externs = [ (4, 0x200); (5, 0x4000_0000) ]
 let asm_resolve l = List.assoc l asm_externs
 
 (* Reference assembler, independent of [Asm]: every item is encoded on its
@@ -663,20 +669,23 @@ let gen_asm_items ~arch =
           asm_locals)
     (QCheck.Gen.list_size (QCheck.Gen.int_range 0 40) (gen_asm_item ~arch))
 
+let print_label l = Printf.sprintf "L%d" l
+
 let print_asm_item ~arch = function
-  | Asm.Label l -> l ^ ":"
+  | Asm.Label l -> print_label l ^ ":"
   | Asm.Ins i -> Format.asprintf "  %a" (Insn.pp ~arch) i
-  | Asm.Call_lbl l -> "  call " ^ l
-  | Asm.Jmp_lbl l -> "  jmp " ^ l
-  | Asm.Jcc_lbl (_, l) -> "  jcc " ^ l
-  | Asm.Lea_lbl (_, l) -> "  lea " ^ l
-  | Asm.Push_lbl l -> "  push " ^ l
-  | Asm.Mov_mi_lbl (_, l) -> "  mov [m], " ^ l
-  | Asm.Jmp_table_lbl { table; _ } -> "  jmp [" ^ table ^ "+i*s]"
-  | Asm.Mov_rm_table { table; _ } -> "  mov r, [" ^ table ^ "+i*s]"
+  | Asm.Call_lbl l -> "  call " ^ print_label l
+  | Asm.Jmp_lbl l -> "  jmp " ^ print_label l
+  | Asm.Jcc_lbl (_, l) -> "  jcc " ^ print_label l
+  | Asm.Lea_lbl (_, l) -> "  lea " ^ print_label l
+  | Asm.Push_lbl l -> "  push " ^ print_label l
+  | Asm.Mov_mi_lbl (_, l) -> "  mov [m], " ^ print_label l
+  | Asm.Jmp_table_lbl { table; _ } -> "  jmp [" ^ print_label table ^ "+i*s]"
+  | Asm.Mov_rm_table { table; _ } -> "  mov r, [" ^ print_label table ^ "+i*s]"
   | Asm.Bytes_raw s -> "  .bytes " ^ hex s
   | Asm.Table { entries; entry_size } ->
-    Printf.sprintf "  .table%d %s" entry_size (String.concat "," entries)
+    Printf.sprintf "  .table%d %s" entry_size
+      (String.concat "," (List.map print_label entries))
   | Asm.Align { boundary; _ } -> Printf.sprintf "  .align %d" boundary
 
 let arb_asm ~arch =
@@ -704,20 +713,21 @@ let asm_reference_prop arch =
 (* The three ways assembly can fail still raise, wherever the bad items sit
    in an otherwise valid list; with two bad items, the first one raises. *)
 let asm_errors_prop arch =
+  let far = 6 and low = 7 and nowhere = 8 in
   let bad =
     QCheck.Gen.oneofl
       [
-        (`Overflow, Asm.Call_lbl "far");
-        (`Overflow, Asm.Jcc_lbl (Insn.NE, "far"));
-        (`Push_low, Asm.Push_lbl "low");
-        (`Undefined, Asm.Jmp_lbl "nowhere");
-        (`Undefined, Asm.Table { entries = [ "nowhere" ]; entry_size = 4 });
+        (`Overflow, Asm.Call_lbl far);
+        (`Overflow, Asm.Jcc_lbl (Insn.NE, far));
+        (`Push_low, Asm.Push_lbl low);
+        (`Undefined, Asm.Jmp_lbl nowhere);
+        (`Undefined, Asm.Table { entries = [ nowhere ]; entry_size = 4 });
       ]
   in
-  let resolve = function
-    | "far" -> 0x1_0000_0000
-    | "low" -> 100
-    | l -> ( match List.assoc_opt l asm_externs with Some a -> a | None -> raise Not_found)
+  let resolve l =
+    if l = far then 0x1_0000_0000
+    else if l = low then 100
+    else match List.assoc_opt l asm_externs with Some a -> a | None -> raise Not_found
   in
   let insert pos x l =
     List.filteri (fun i _ -> i < pos) l @ (x :: List.filteri (fun i _ -> i >= pos) l)
